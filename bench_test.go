@@ -73,8 +73,8 @@ func BenchmarkChainStepN1000(b *testing.B) {
 
 // E21 — the swap-dominated regime of the kernel: a compact spiral blob at
 // γ near 1 stays color-mixed, so most proposals land on occupied targets
-// and exercise the swap branch (SwapExponent, swap threshold table,
-// ApplySwap) rather than the move branch that dominates the λ = γ = 4
+// and exercise the swap branch (the model's swap exponents, the
+// threshold table, ApplySwap) rather than the move branch that dominates the λ = γ = 4
 // benchmarks above.
 func BenchmarkChainStepSwapPath(b *testing.B) {
 	cfg, err := core.Initial(core.LayoutSpiral, core.Bichromatic(100), 1)

@@ -4,7 +4,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+
+	"sops/internal/failfs"
 )
 
 // TestWriteCheckpointRestoreFile: a System restored from a checkpoint file
@@ -59,6 +62,67 @@ func TestAutoCheckpoint(t *testing.T) {
 	sys.RunSteps(25_000)
 	if sys.Metrics() != restored.Metrics() {
 		t.Fatal("resumed run diverged from the uninterrupted one")
+	}
+}
+
+// renameCounter is a passthrough filesystem that counts the atomic
+// renames landing on one path — one per sealed checkpoint write.
+type renameCounter struct {
+	failfs.FS
+	path string
+	n    atomic.Int64
+}
+
+func (c *renameCounter) Rename(oldpath, newpath string) error {
+	if newpath == c.path {
+		c.n.Add(1)
+	}
+	return c.FS.Rename(oldpath, newpath)
+}
+
+// TestAutoCheckpointCadence: a sampled run writes its auto-checkpoint at
+// the absolute multiples of the interval, not at every sample boundary,
+// and the stopping step is not written twice — 10⁶ steps sampled every
+// 10⁴ with a 10⁵ interval seal exactly 10 checkpoints. A run stopping off
+// the cadence adds exactly one write, at its stopping step.
+func TestAutoCheckpointCadence(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cadence.ckpt")
+	fs := &renameCounter{FS: failfs.Get(), path: path}
+	defer failfs.Swap(fs)()
+
+	sys, err := New(Options{Counts: []int{8, 8}, Lambda: 4, Gamma: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetAutoCheckpoint(path, 100_000)
+	samples := 0
+	spec := RunSpec{Steps: 1_000_000, SampleEvery: 10_000, Observer: func(Snapshot) bool {
+		samples++
+		return true
+	}}
+	if _, err := sys.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if samples != 100 {
+		t.Fatalf("observer fired %d times, want 100", samples)
+	}
+	if got := fs.n.Load(); got != 10 {
+		t.Fatalf("1e6 steps with a 1e5 interval wrote %d checkpoints, want 10", got)
+	}
+
+	spec.Steps = 150_000 // crosses 1.1e6, stops at 1.15e6
+	if _, err := sys.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.n.Load(); got != 12 {
+		t.Fatalf("continuation wrote %d checkpoints in total, want 12", got)
+	}
+	restored, err := RestoreFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Steps() != 1_150_000 {
+		t.Fatalf("checkpoint holds %d steps, want 1150000", restored.Steps())
 	}
 }
 

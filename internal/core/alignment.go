@@ -81,37 +81,31 @@ func (m alignmentModel) nearCounts(g *psys.PairGather, c psys.Color) (nl, nlp in
 	return nl, nlp
 }
 
-func (m alignmentModel) MoveExponents(g *psys.PairGather, dE []int8) {
+func (m alignmentModel) MoveExponents(g psys.PairGather) Exponents {
 	nl, nlp := g.DegreeCounts()
-	dE[0] = int8(nlp - nl)
 	c, _ := g.LColor()
 	al, alp := g.ColorCounts(c)
-	dE[1] = int8(alp - al)
-	bl, blp := m.nearCounts(g, c)
-	dE[2] = int8(blp - bl)
+	bl, blp := m.nearCounts(&g, c)
+	return Exponents{int8(nlp - nl), int8(alp - al), int8(blp - bl)}
 }
 
-func (m alignmentModel) SwapExponents(g *psys.PairGather, dE []int8) bool {
+func (m alignmentModel) SwapExponents(g psys.PairGather) (Exponents, bool) {
 	ci, _ := g.LColor()
 	cj, _ := g.LpColor()
 	if ci == cj {
 		// Same-orientation swaps change nothing but their own edge's two
 		// one-sided counts — the same α^{−2} no-op the separation model has.
-		dE[0], dE[1], dE[2] = 0, -2, 0
-		return true
+		return Exponents{0, -2, 0}, true
 	}
 	// Degrees are swap-invariant, and the P–Q edge itself contributes
 	// identically before and after (the alignment relations are symmetric),
 	// so only the ring-side counts move. Each aligned/near difference is
 	// within ±5, the sums within ±10.
-	dE[0] = 0
 	ail, ailp := g.ColorCounts(ci)
 	ajl, ajlp := g.ColorCounts(cj)
-	dE[1] = int8((ailp - ail) + (ajl - ajlp))
-	nil_, nilp := m.nearCounts(g, ci)
-	njl, njlp := m.nearCounts(g, cj)
-	dE[2] = int8((nilp - nil_) + (njl - njlp))
-	return true
+	nil_, nilp := m.nearCounts(&g, ci)
+	njl, njlp := m.nearCounts(&g, cj)
+	return Exponents{0, int8((ailp - ail) + (ajl - ajlp)), int8((nilp - nil_) + (njl - njlp))}, true
 }
 
 // isNear reports whether orientations a and b are distinct and adjacent

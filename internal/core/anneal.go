@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"sops/internal/lattice"
-	"sops/internal/psys"
-)
+import "math"
 
 // annealModel is a k-color annealed schedule interpolating compression →
 // separation: the kernel is exactly the separation model's (same validity
@@ -25,14 +20,18 @@ import (
 // resumed chain (or a sharded worker fleet given its StepOffset)
 // recomputes the identical effective γ from the restored step counter,
 // with no schedule state to serialize.
-type annealModel struct{}
+//
+// The validity predicate, exponents and Hamiltonian are the embedded
+// separation model's; the executors pass the scheduled couplings to
+// Energy, so the reported energy tracks the stage the run is in.
+type annealModel struct{ separationModel }
 
 // Anneal is the registered annealed compression→separation schedule.
-var Anneal Model = annealModel{}
+var Anneal Model = &annealModel{}
 
-func (annealModel) Name() string { return "anneal" }
+func (*annealModel) Name() string { return "anneal" }
 
-func (annealModel) Couplings() []Coupling {
+func (*annealModel) Couplings() []Coupling {
 	return []Coupling{
 		{Name: "lambda", Default: 4},
 		{Name: "gamma", Default: 16},
@@ -41,28 +40,7 @@ func (annealModel) Couplings() []Coupling {
 	}
 }
 
-func (annealModel) NumExponents() int { return 2 }
-
-func (annealModel) Valid(dir lattice.Direction, occ uint8) bool {
-	return psys.MoveOK(dir, occ)
-}
-
-func (annealModel) MoveExponents(g *psys.PairGather, dE []int8) {
-	Separation.MoveExponents(g, dE)
-}
-
-func (annealModel) SwapExponents(g *psys.PairGather, dE []int8) bool {
-	return Separation.SwapExponents(g, dE)
-}
-
-// Energy is the separation Hamiltonian at the effective couplings in
-// force — the executors pass the scheduled values, so the reported energy
-// tracks the stage the run is in.
-func (annealModel) Energy(v ConfigView, coup []float64) float64 {
-	return Separation.Energy(v, coup)
-}
-
-func (annealModel) Effective(coup []float64, step uint64, eff []float64) uint64 {
+func (*annealModel) Effective(coup []float64, step uint64, eff []float64) uint64 {
 	stages := uint64(coup[2])
 	stageSteps := uint64(coup[3])
 	s := step / stageSteps
@@ -81,11 +59,11 @@ func (annealModel) Effective(coup []float64, step uint64, eff []float64) uint64 
 	return (s + 1) * stageSteps
 }
 
-func (annealModel) ObservableNames() []string {
+func (*annealModel) ObservableNames() []string {
 	return []string{"gammaEff", "homEdgeFrac"}
 }
 
-func (annealModel) Observe(v ConfigView, coup []float64, out []float64) {
+func (*annealModel) Observe(v ConfigView, coup []float64, out []float64) {
 	out[0] = coup[1] // executors pass effective couplings
 	out[1] = 0
 	if e := v.Edges(); e > 0 {

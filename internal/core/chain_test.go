@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -224,34 +225,6 @@ func TestDisableSwapsNeverSwaps(t *testing.T) {
 	}
 }
 
-func TestRunWithObserves(t *testing.T) {
-	cfg := mustInitial(t, LayoutSpiral, []int{5, 5}, 4)
-	ch, err := New(cfg, Params{Lambda: 2, Gamma: 2, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ticks []uint64
-	ch.RunWith(2500, 1000, func(done uint64) bool {
-		ticks = append(ticks, done)
-		return true
-	})
-	if len(ticks) != 3 || ticks[0] != 1000 || ticks[1] != 2000 || ticks[2] != 2500 {
-		t.Fatalf("ticks = %v", ticks)
-	}
-	if ch.Stats().Steps != 2500 {
-		t.Fatalf("steps = %d", ch.Stats().Steps)
-	}
-	// Early stop.
-	count := 0
-	ch.RunWith(10000, 100, func(uint64) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("observer called %d times after early stop", count)
-	}
-}
-
 func TestOutcomeString(t *testing.T) {
 	for _, o := range []Outcome{Rejected, Moved, Swapped} {
 		if o.String() == "" {
@@ -458,9 +431,9 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-// TestSetParamsAnnealing: parameters can change mid-run (annealing),
-// acceptance probabilities follow, and the chain still reaches separation
-// when γ is ramped from 1 to 4.
+// TestSetParamsAnnealing: the bias can change mid-run through
+// SetCouplings (annealing), acceptance probabilities and Params follow,
+// and the chain still reaches separation when γ is ramped from 1 to 4.
 func TestSetParamsAnnealing(t *testing.T) {
 	cfg := mustInitial(t, LayoutSpiral, []int{20, 20}, 8)
 	ch, err := New(cfg, Params{Lambda: 4, Gamma: 1, Seed: 15})
@@ -468,7 +441,7 @@ func TestSetParamsAnnealing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gamma := range []float64{1, 1.5, 2, 3, 4} {
-		if err := ch.SetParams(Params{Lambda: 4, Gamma: gamma}); err != nil {
+		if err := ch.SetCouplings([]float64{4, gamma}); err != nil {
 			t.Fatal(err)
 		}
 		ch.Run(300000)
@@ -479,8 +452,8 @@ func TestSetParamsAnnealing(t *testing.T) {
 	if ch.Config().HetEdges() > 30 {
 		t.Fatalf("annealed run failed to separate: h=%d", ch.Config().HetEdges())
 	}
-	if err := ch.SetParams(Params{Lambda: 0, Gamma: 1}); err == nil {
-		t.Fatal("invalid params accepted by SetParams")
+	if err := ch.SetCouplings([]float64{0, 1}); !errors.Is(err, ErrBadCoupling) {
+		t.Fatalf("invalid couplings accepted by SetCouplings: %v", err)
 	}
 }
 

@@ -50,7 +50,7 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		Config: c.Snapshot(),
 		Order:  order,
 	}
-	if !c.fast {
+	if c.model != Separation {
 		cp.Model = c.model.Name()
 		cp.Couplings = c.Couplings()
 	}
@@ -122,53 +122,29 @@ func Resume(cp *Checkpoint) (*Chain, error) {
 		// Effective couplings are a function of the absolute step count,
 		// which was just restored: recompute them so the resumed chain's
 		// acceptance tables match the checkpointed chain's exactly.
-		ch.syncSchedule()
+		ch.retune(ch.stats.Steps)
 	}
 	return ch, nil
 }
 
-// SetParams replaces the chain's bias parameters mid-run, keeping the
-// configuration, statistics and random stream. This makes the chain
-// time-inhomogeneous — useful for annealing schedules that ramp γ up to
-// escape the metastability visible in long simulation runs. The stationary
-// characterization of Lemma 9 applies only while parameters are held fixed.
-func (c *Chain) SetParams(params Params) error {
-	if !c.fast {
-		return fmt.Errorf("core: SetParams applies only to the separation model (chain runs %q); use SetCouplings", c.model.Name())
-	}
-	if err := params.Validate(); err != nil {
-		return err
-	}
-	c.params = params
-	c.coup[0], c.coup[1] = params.Lambda, params.Gamma
-	c.rebuildTables()
-	return nil
-}
-
 // SetCouplings replaces the chain's full coupling vector mid-run, keeping
 // the configuration, statistics and random stream, and rebuilding the
-// acceptance tables — SetParams generalized to any model. For scheduled
-// models the new nominal couplings take effect through the schedule.
+// acceptance tables. This makes the chain time-inhomogeneous — useful for
+// annealing schedules that ramp γ up to escape the metastability visible
+// in long simulation runs; the stationary characterization of Lemma 9
+// applies only while the couplings are held fixed. For scheduled models
+// the new nominal couplings take effect through the schedule.
 func (c *Chain) SetCouplings(coup []float64) error {
 	if err := ValidateCouplings(c.model, coup); err != nil {
 		return err
 	}
 	copy(c.coup, coup)
-	if c.fast {
-		c.params.Lambda, c.params.Gamma = coup[0], coup[1]
-		c.rebuildTables()
-		return nil
-	}
 	if i := CouplingIndex(c.model, "lambda"); i >= 0 {
 		c.params.Lambda = coup[i]
 	}
 	if i := CouplingIndex(c.model, "gamma"); i >= 0 {
 		c.params.Gamma = coup[i]
 	}
-	if c.sched != nil {
-		c.syncSchedule()
-	} else {
-		c.mt.rebuild(c.model, c.coupNow[:c.model.NumExponents()])
-	}
+	c.retune(c.stats.Steps)
 	return nil
 }

@@ -7,11 +7,13 @@ import (
 	"sops/internal/psys"
 )
 
-// TestExponentBoundsAudit verifies the table sizing the kernel relies on
-// rather than assuming it: along long randomized runs across compression,
-// separation, integration and expansion regimes, every reachable proposal's
-// move exponents stay within ±5 and every swap exponent within ±10, well
-// inside the maxExp = 12 headroom of the threshold tables. The audit
+// TestExponentBoundsAudit verifies the separation model's exponents and
+// the table sizing the kernel relies on rather than assuming them: along
+// long randomized runs across compression, separation, integration and
+// expansion regimes, every reachable proposal's exponents equal the
+// readable reference (Degree, ColorDegree and their Excluding forms), move
+// exponents stay within ±5 and swap exponents within ±10, well inside the
+// maxExp = 12 headroom of the threshold tables. The audit
 // sweeps all (particle, direction) pairs of the live configuration at a
 // fixed cadence, so the asserted bound covers every proposal the chain
 // could have drawn at those states, not just the ones it happened to draw.
@@ -44,15 +46,28 @@ func TestExponentBoundsAudit(t *testing.T) {
 				c := ch.Config()
 				for _, pt := range c.Particles() {
 					for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
-						g := c.GatherPair(pt.Pos, d)
-						if _, occupied := g.LpColor(); occupied {
-							if exp := g.SwapExponent(); exp < -10 || exp > 10 {
-								t.Fatalf("step %d: swap exponent %d at %v dir %v outside ±10", done, exp, pt.Pos, d)
+						l, lp := pt.Pos, pt.Pos.Neighbor(d)
+						g := c.GatherPair(l, d)
+						ci, _ := g.LColor()
+						if cj, occupied := g.LpColor(); occupied {
+							dE, _ := Separation.SwapExponents(g)
+							want := c.ColorDegreeExcluding(lp, l, ci) - c.ColorDegree(l, ci) +
+								c.ColorDegreeExcluding(l, lp, cj) - c.ColorDegree(lp, cj)
+							if dE[0] != 0 || int(dE[1]) != want {
+								t.Fatalf("step %d: swap exponents %v at %v dir %v, reference (0,%d)", done, dE[:2], l, d, want)
+							}
+							if want < -10 || want > 10 {
+								t.Fatalf("step %d: swap exponent %d at %v dir %v outside ±10", done, want, l, d)
 							}
 						} else {
-							dl, dg := g.MoveExponents()
+							dE := Separation.MoveExponents(g)
+							dl := c.DegreeExcluding(lp, l) - c.Degree(l)
+							dg := c.ColorDegreeExcluding(lp, l, ci) - c.ColorDegree(l, ci)
+							if int(dE[0]) != dl || int(dE[1]) != dg {
+								t.Fatalf("step %d: move exponents %v at %v dir %v, reference (%d,%d)", done, dE[:2], l, d, dl, dg)
+							}
 							if dl < -5 || dl > 5 || dg < -5 || dg > 5 {
-								t.Fatalf("step %d: move exponents (%d,%d) at %v dir %v outside ±5", done, dl, dg, pt.Pos, d)
+								t.Fatalf("step %d: move exponents (%d,%d) at %v dir %v outside ±5", done, dl, dg, l, d)
 							}
 						}
 						audits++
@@ -66,8 +81,8 @@ func TestExponentBoundsAudit(t *testing.T) {
 	}
 }
 
-// TestSwapExponentSameColor pins the same-color fast path of the swap
-// kernel: exchanging equal colors always has exponent −2 (the pair's own
+// TestSwapExponentSameColor pins the same-color case of the separation
+// model's swap exponents: exchanging equal colors always has exponent −2 (the pair's own
 // edge, counted once from each side), matching the documented γ^{−2}
 // acceptance probability of no-op swaps.
 func TestSwapExponentSameColor(t *testing.T) {
@@ -78,7 +93,7 @@ func TestSwapExponentSameColor(t *testing.T) {
 		}
 	}
 	g := c.GatherPair(lattice.Point{Q: 1}, 0)
-	if exp := g.SwapExponent(); exp != -2 {
-		t.Fatalf("same-color swap exponent %d, want -2", exp)
+	if dE, ok := Separation.SwapExponents(g); !ok || dE[0] != 0 || dE[1] != -2 {
+		t.Fatalf("same-color swap exponents %v, want [0 -2]", dE[:2])
 	}
 }

@@ -9,21 +9,20 @@ import (
 
 	"sops/internal/lattice"
 	"sops/internal/psys"
+	"sops/internal/rng"
 )
 
 // This file defines the pluggable-dynamics substrate: a Model is a local
 // Hamiltonian plus a move-validity predicate, expressed in exactly the
-// shape the table-driven kernel consumes. The kernel itself (chain.go,
-// sharded.go) stays table-driven for every model — at init it asks the
-// model for its validity decision on each of the 6×256 (direction, ring
+// shape the table-driven kernel consumes. Both executors (chain.go,
+// sharded.go) run one kernel for every model — at init it asks the model
+// for its validity decision on each of the 6×256 (direction, ring
 // occupancy) cells and for its coupling constants, and precomputes one
 // integer acceptance threshold per exponent vector, so a step under any
-// model is still: one gather, one table probe, a few popcounts, one
+// model is: one gather, one table probe, one exponent extraction, one
 // integer compare. The paper's separation dynamics (Algorithm 1) is the
-// first registered model and runs bit-identical to the pre-substrate
-// kernel; the alignment chain of Kedia–Oh–Randall and an annealed
-// compression→separation schedule prove the substrate opens new
-// workloads without touching the executors.
+// first registered model; the alignment chain of Kedia–Oh–Randall and an
+// annealed compression→separation schedule run through the same kernel.
 
 // MaxModelExp bounds the magnitude of every exponent a model may return:
 // DeltaExponents results must lie in [-MaxModelExp, MaxModelExp]. The
@@ -31,6 +30,17 @@ import (
 // within ±10 (two ±5 popcount differences), so the bound is not a real
 // restriction — it sizes the precomputed threshold tables.
 const MaxModelExp = maxExp
+
+// MaxExponents bounds NumExponents: the threshold table of a model with
+// k exponents has (2·MaxModelExp+1)^k entries, so a handful of energy
+// couplings is already the practical limit.
+const MaxExponents = 4
+
+// Exponents is the exponent vector of one proposal. A model sets its
+// first NumExponents entries; the kernel ignores the rest. It is passed by
+// value, like the gather, so a call through the Model interface needs no
+// heap scratch.
+type Exponents [MaxExponents]int8
 
 // Coupling describes one named coupling constant of a model, in the order
 // the model's exponent vector and threshold tables use.
@@ -79,19 +89,20 @@ type Model interface {
 	// The first NumExponents entries are the energy couplings; any
 	// remaining entries are non-energy knobs (schedules etc.).
 	Couplings() []Coupling
-	// NumExponents is the length of the exponent vectors MoveExponents
-	// and SwapExponents fill: the number of leading energy couplings.
+	// NumExponents is the number of leading Exponents entries
+	// MoveExponents and SwapExponents fill: the number of energy
+	// couplings, at most MaxExponents.
 	NumExponents() int
 	// Valid reports whether a move proposal in direction dir with ring
 	// occupancy mask occ (target vacant) is permitted. It is consulted
 	// only at table-build time — per step the decision is a table probe.
 	Valid(dir lattice.Direction, occ uint8) bool
-	// MoveExponents fills dE (length NumExponents) with the Metropolis
-	// exponents of a move proposal. Called only when the move is Valid.
-	MoveExponents(g *psys.PairGather, dE []int8)
-	// SwapExponents fills dE with the exponents of a swap proposal, or
-	// returns false when the model does not permit the swap at all.
-	SwapExponents(g *psys.PairGather, dE []int8) bool
+	// MoveExponents returns the Metropolis exponents of a move proposal.
+	// Called only when the move is Valid.
+	MoveExponents(g psys.PairGather) Exponents
+	// SwapExponents returns the exponents of a swap proposal, or false
+	// when the model does not permit the swap at all.
+	SwapExponents(g psys.PairGather) (Exponents, bool)
 	// Energy is the Hamiltonian value of a full configuration under the
 	// given energy-coupling values (length ≥ NumExponents); the chain's
 	// stationary distribution is π(σ) ∝ exp(−Energy(σ)).
@@ -153,7 +164,7 @@ func RegisterModel(m Model) {
 	if name == "" {
 		panic("core: RegisterModel with empty name")
 	}
-	if k < 1 || k > len(m.Couplings()) {
+	if k < 1 || k > MaxExponents || k > len(m.Couplings()) {
 		panic(fmt.Sprintf("core: model %q has %d exponents over %d couplings", name, k, len(m.Couplings())))
 	}
 	seen := map[string]bool{}
@@ -242,48 +253,48 @@ func CouplingIndex(m Model, name string) int {
 	return -1
 }
 
-// modelTables is the generic counterpart of acceptTables: per-direction
-// validity tables and a flat integer acceptance-threshold table over the
-// model's full exponent-vector space, rebuilt from any Model at init (and
-// at schedule boundaries). The serial chain embeds one; the sharded
-// executor shares a single rebuilt copy across its read-only workers.
+// tableDim is the per-exponent index range of the threshold tables.
+const tableDim = 2*maxExp + 1
+
+// modelTables holds per-direction validity tables and a flat integer
+// acceptance-threshold table over the model's full exponent-vector space,
+// rebuilt from the Model at init (and at schedule boundaries). The serial
+// chain embeds one; the sharded executor shares a single copy across its
+// read-only workers.
 type modelTables struct {
-	k   int // exponent-vector length (model.NumExponents)
-	dim int // 2·maxExp + 1, the per-exponent index range
+	k    int // exponent-vector length (model.NumExponents)
+	base int // flat index of the all-zero offset: Σ_i maxExp·tableDim^(k−1−i)
 
 	// moveOK[d][m] caches model.Valid(d, m).
 	moveOK [lattice.NumDirections][1 << 8]bool
 
 	// thresh[flat(dE)] encodes min(1, Π_i eff_i^dE_i) as the integer
-	// acceptance threshold; len(thresh) = dim^k. Moves and swaps share the
-	// table — they differ only in which exponents are nonzero.
+	// acceptance threshold; len(thresh) = tableDim^k. Moves and swaps
+	// share the table — they differ only in which exponents are nonzero.
 	thresh []uint64
 }
 
 // rebuild recomputes the tables for m at effective energy couplings eff
-// (length k). The per-vector probability product is formed left to right
-// from a 1.0 accumulator, so for the separation model (eff = [λ, γ]) the
-// float64 value is exactly the powLambda[a]·powGamma[b] product the
-// hardwired tables use — the thresholds, and hence every acceptance
-// decision, are bit-identical.
+// (length k). The per-vector probability product is formed from a 1.0
+// accumulator, so for the separation model (eff = [λ, γ]) the float64
+// value is exactly the λ^a·γ^b product the paper's filter forms per step
+// (TestModelTablesMatchLegacy holds every threshold to it).
 func (t *modelTables) rebuild(m Model, eff []float64) {
 	k := m.NumExponents()
-	t.k, t.dim = k, 2*maxExp+1
+	t.k, t.base = k, 0
 	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
 		for occ := 0; occ < 1<<8; occ++ {
 			t.moveOK[d][occ] = m.Valid(d, uint8(occ))
 		}
 	}
-	pow := make([][]float64, k)
+	var pow [MaxExponents][tableDim]float64
+	size := 1
 	for i := 0; i < k; i++ {
-		pow[i] = make([]float64, t.dim)
 		for e := -maxExp; e <= maxExp; e++ {
 			pow[i][e+maxExp] = math.Pow(eff[i], float64(e))
 		}
-	}
-	size := 1
-	for i := 0; i < k; i++ {
-		size *= t.dim
+		size *= tableDim
+		t.base = t.base*tableDim + maxExp
 	}
 	if cap(t.thresh) < size {
 		t.thresh = make([]uint64, size)
@@ -293,21 +304,123 @@ func (t *modelTables) rebuild(m Model, eff []float64) {
 		prob := 1.0
 		rem := idx
 		for i := k - 1; i >= 0; i-- {
-			prob *= pow[i][rem%t.dim]
-			rem /= t.dim
+			prob *= pow[i][rem%tableDim]
+			rem /= tableDim
 		}
 		t.thresh[idx] = acceptThreshold(prob)
 	}
 }
 
 // flat maps an exponent vector to its threshold-table index, most
-// significant exponent first: Σ_i (dE_i + maxExp)·dim^(k−1−i). A vector
-// outside ±maxExp panics on the table probe — a loud failure for a model
-// violating the MaxModelExp contract, never a silent wrong threshold.
-func (t *modelTables) flat(dE []int8) int {
+// significant exponent first: Σ_i (dE_i + maxExp)·tableDim^(k−1−i). A
+// vector outside ±maxExp panics on the table probe — a loud failure for
+// a model violating the MaxModelExp contract, never a silent wrong
+// threshold.
+func (t *modelTables) flat(dE Exponents) int {
 	idx := 0
-	for _, e := range dE {
-		idx = idx*t.dim + int(e) + maxExp
+	for _, e := range dE[:t.k] {
+		idx = idx*tableDim + int(e)
 	}
-	return idx
+	return idx + t.base
+}
+
+// dynamics is the model state both executors share: the bound model, its
+// nominal coupling vector, the effective energy couplings in force, and
+// the acceptance tables built from them. coupNow aliases coup for
+// unscheduled models; for scheduled ones it holds the scheduler's values
+// and nextReb the absolute step at which they change next.
+type dynamics struct {
+	model   Model
+	coup    []float64
+	coupNow []float64
+	sched   Scheduler
+	nextReb uint64
+	mt      modelTables
+}
+
+// setup binds m (nil means Separation) to a configuration of numColors
+// colors with the full coupling vector coup (nil selects the model's
+// defaults), validates it, and builds the tables in force at absolute
+// step. It returns params with Lambda/Gamma normalized from the model's
+// couplings of those names (1 when absent), so surfaces reading Params
+// stay meaningful for every model.
+func (d *dynamics) setup(m Model, numColors int, params Params, coup []float64, step uint64) (Params, error) {
+	if m == nil {
+		m = Separation
+	}
+	if b, ok := m.(Binder); ok {
+		m = b.Bind(numColors)
+	}
+	if coup == nil {
+		coup = DefaultCouplings(m)
+	} else {
+		coup = append([]float64(nil), coup...)
+	}
+	params.Lambda, params.Gamma = 1, 1
+	if i := CouplingIndex(m, "lambda"); i >= 0 && i < len(coup) {
+		params.Lambda = coup[i]
+	}
+	if i := CouplingIndex(m, "gamma"); i >= 0 && i < len(coup) {
+		params.Gamma = coup[i]
+	}
+	// Params first so separation keeps its legacy error text, then the
+	// full coupling vector (which also covers non-energy knobs).
+	if err := params.Validate(); err != nil {
+		return params, err
+	}
+	if err := ValidateCouplings(m, coup); err != nil {
+		return params, err
+	}
+	d.model, d.coup, d.coupNow = m, coup, coup
+	d.sched, _ = m.(Scheduler)
+	if d.sched != nil {
+		d.coupNow = append([]float64(nil), coup...)
+	}
+	d.retune(step)
+	return params, nil
+}
+
+// decide runs Algorithm 1's acceptance test on one gathered proposal and
+// returns the operation to apply, or 0 to reject it. With lp occupied it
+// is a swap (steps 9–10): vetoed when swaps are off or the model refuses
+// it, and rejected when accepted between same-colored particles, which
+// changes nothing, so that Swaps counts configuration-changing events.
+// Otherwise it is a move (steps 3–8): the validity table holds conditions
+// (i) and (ii), the Metropolis filter condition (iii). A draw is taken from
+// r exactly when the filter's probability is below 1. Both executors step
+// through it, so they make the identical decision on the identical state.
+func (d *dynamics) decide(g psys.PairGather, r *rng.Buffered, swaps bool) OpKind {
+	if cj, occupied := g.LpColor(); occupied {
+		if !swaps {
+			return 0
+		}
+		dE, ok := d.model.SwapExponents(g)
+		if !ok || !acceptDraw(r, d.mt.thresh[d.mt.flat(dE)]) {
+			return 0
+		}
+		if ci, _ := g.LColor(); ci == cj {
+			return 0
+		}
+		return OpSwap
+	}
+	if !d.mt.moveOK[g.Dir()][g.Occ()] {
+		return 0
+	}
+	if !acceptDraw(r, d.mt.thresh[d.mt.flat(d.model.MoveExponents(g))]) {
+		return 0
+	}
+	return OpMove
+}
+
+// retune recomputes the effective energy couplings for absolute step and
+// rebuilds the acceptance tables. Called at construction, after a
+// checkpoint restore or a coupling change, and from the step loops when
+// the scheduler's announced boundary is crossed.
+func (d *dynamics) retune(step uint64) {
+	k := d.model.NumExponents()
+	d.nextReb = math.MaxUint64
+	if d.sched != nil {
+		d.nextReb = d.sched.Effective(d.coup, step, d.coupNow[:k])
+	}
+	d.mt.rebuild(d.model, d.coupNow[:k])
 }

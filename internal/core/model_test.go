@@ -62,10 +62,42 @@ func TestValidateCouplings(t *testing.T) {
 	}
 }
 
+// legacyThreshold is the oracle for the separation model's tables: the
+// acceptance threshold of the λ^a·γ^b product the paper's Metropolis
+// filter forms per proposal (a swap is the a = 0 case).
+func legacyThreshold(lambda, gamma float64, a, b int) uint64 {
+	return acceptThreshold(math.Pow(lambda, float64(a)) * math.Pow(gamma, float64(b)))
+}
+
+// checkSeparationTables requires the modelTables built from the
+// separation model at (λ, γ) to hold the oracle threshold for every
+// exponent vector in the table's range.
+func checkSeparationTables(t *testing.T, lambda, gamma float64) {
+	t.Helper()
+	var mt modelTables
+	mt.rebuild(Separation, []float64{lambda, gamma})
+	var dE Exponents
+	for a := -maxExp; a <= maxExp; a++ {
+		for b := -maxExp; b <= maxExp; b++ {
+			dE[0], dE[1] = int8(a), int8(b)
+			if got, want := mt.thresh[mt.flat(dE)], legacyThreshold(lambda, gamma, a, b); got != want {
+				t.Fatalf("λ=%g γ=%g: thresh(%d,%d) = %d, oracle %d", lambda, gamma, a, b, got, want)
+			}
+		}
+	}
+	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+		for occ := 0; occ < 1<<8; occ++ {
+			if mt.moveOK[d][occ] != psys.MoveOK(d, uint8(occ)) {
+				t.Fatalf("moveOK[%v][%#x] diverges from psys.MoveOK", d, occ)
+			}
+		}
+	}
+}
+
 // TestModelTablesMatchLegacy verifies the central bit-identity claim at the
-// table level: the generic modelTables built from the separation model hold
-// exactly the thresholds of the hardwired acceptTables, for every reachable
-// exponent vector, across bias regimes.
+// table level: the modelTables built from the separation model hold
+// exactly the thresholds of the paper's λ^a·γ^b filter, for every
+// reachable exponent vector, across bias regimes.
 func TestModelTablesMatchLegacy(t *testing.T) {
 	for _, p := range []Params{
 		{Lambda: 4, Gamma: 4},
@@ -73,60 +105,22 @@ func TestModelTablesMatchLegacy(t *testing.T) {
 		{Lambda: 1, Gamma: 1},
 		{Lambda: 6.25, Gamma: 81.0 / 79.0},
 	} {
-		var legacy acceptTables
-		legacy.rebuild(p)
-		var mt modelTables
-		mt.rebuild(Separation, []float64{p.Lambda, p.Gamma})
-		dE := make([]int8, 2)
-		for a := -maxExp; a <= maxExp; a++ {
-			for b := -maxExp; b <= maxExp; b++ {
-				dE[0], dE[1] = int8(a), int8(b)
-				if got, want := mt.thresh[mt.flat(dE)], legacy.moveThreshold(a, b); got != want {
-					t.Fatalf("λ=%g γ=%g: thresh(%d,%d) = %d, legacy %d", p.Lambda, p.Gamma, a, b, got, want)
-				}
-			}
-		}
-		for k := -maxExp; k <= maxExp; k++ {
-			dE[0], dE[1] = 0, int8(k)
-			if got, want := mt.thresh[mt.flat(dE)], legacy.swapThreshold(k); got != want {
-				t.Fatalf("λ=%g γ=%g: swap thresh(%d) = %d, legacy %d", p.Lambda, p.Gamma, k, got, want)
-			}
-		}
-		for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
-			for occ := 0; occ < 1<<8; occ++ {
-				if mt.moveOK[d][occ] != psys.MoveOK(d, uint8(occ)) {
-					t.Fatalf("moveOK[%v][%#x] diverges from psys.MoveOK", d, occ)
-				}
-			}
-		}
+		checkSeparationTables(t, p.Lambda, p.Gamma)
 	}
 }
 
-// FuzzModelTables fuzzes the bias parameters and requires the generic
-// separation tables to stay bit-identical to the legacy tables everywhere.
+// FuzzModelTables fuzzes the bias parameters and requires the separation
+// tables to match the λ^a·γ^b oracle everywhere.
 func FuzzModelTables(f *testing.F) {
 	f.Add(4.0, 4.0)
 	f.Add(0.5, 0.5)
 	f.Add(1.0, 1e6)
 	f.Add(1e-6, 1.0247)
 	f.Fuzz(func(t *testing.T, lambda, gamma float64) {
-		p := Params{Lambda: lambda, Gamma: gamma}
-		if p.Validate() != nil {
+		if (Params{Lambda: lambda, Gamma: gamma}).Validate() != nil {
 			t.Skip()
 		}
-		var legacy acceptTables
-		legacy.rebuild(p)
-		var mt modelTables
-		mt.rebuild(Separation, []float64{lambda, gamma})
-		dE := make([]int8, 2)
-		for a := -maxExp; a <= maxExp; a++ {
-			for b := -maxExp; b <= maxExp; b++ {
-				dE[0], dE[1] = int8(a), int8(b)
-				if got, want := mt.thresh[mt.flat(dE)], legacy.moveThreshold(a, b); got != want {
-					t.Fatalf("λ=%g γ=%g: thresh(%d,%d) = %d, legacy %d", lambda, gamma, a, b, got, want)
-				}
-			}
-		}
+		checkSeparationTables(t, lambda, gamma)
 	})
 }
 
@@ -139,72 +133,6 @@ func chainFingerprint(t *testing.T, c *Chain) (Stats, uint64, string) {
 		t.Fatal(err)
 	}
 	return c.Stats(), c.Config().Hash(), cp.Rng
-}
-
-// TestSeparationModelDifferential is the tentpole equivalence proof at the
-// trajectory level: the same seeded separation chain stepped through the
-// devirtualized fast path and through the generic Model interface produces
-// bit-identical trajectories — equal configurations, statistics and random
-// stream positions at every comparison point.
-func TestSeparationModelDifferential(t *testing.T) {
-	cfg, err := Initial(LayoutSpiral, Bichromatic(200), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := Params{Lambda: 4, Gamma: 4, Seed: 21}
-	fast, err := New(cfg.Clone(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := New(cfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.forceGeneric()
-	for leg := 0; leg < 20; leg++ {
-		fast.Run(5_000)
-		gen.Run(5_000)
-		fs, fh, fr := chainFingerprint(t, fast)
-		gs, gh, gr := chainFingerprint(t, gen)
-		if fs != gs {
-			t.Fatalf("leg %d: stats diverge: fast %+v generic %+v", leg, fs, gs)
-		}
-		if fh != gh {
-			t.Fatalf("leg %d: configurations diverge", leg)
-		}
-		if fr != gr {
-			t.Fatalf("leg %d: rng streams diverge", leg)
-		}
-	}
-}
-
-// TestSeparationModelDifferentialSwapless covers the DisableSwaps leg of
-// the same equivalence: the move-only kernel must also be bit-identical.
-func TestSeparationModelDifferentialSwapless(t *testing.T) {
-	cfg, err := Initial(LayoutLine, Bichromatic(120), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := Params{Lambda: 3, Gamma: 2, Seed: 77, DisableSwaps: true}
-	fast, err := New(cfg.Clone(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := New(cfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.forceGeneric()
-	fast.Run(60_000)
-	gen.Run(60_000)
-	fs, fh, fr := chainFingerprint(t, fast)
-	gs, gh, gr := chainFingerprint(t, gen)
-	if fs != gs || fh != gh || fr != gr {
-		t.Fatal("swapless fast and generic paths diverge")
-	}
-	if fs.Swaps != 0 {
-		t.Fatalf("DisableSwaps chain recorded %d swaps", fs.Swaps)
-	}
 }
 
 // TestAlignmentExponentsMatchEnergy is the correctness audit for the
@@ -225,7 +153,7 @@ func TestAlignmentExponentsMatchEnergy(t *testing.T) {
 	}
 	m := ch.Model()
 	logc := []float64{math.Log(coup[0]), math.Log(coup[1]), math.Log(coup[2])}
-	dE := make([]int8, m.NumExponents())
+	k := m.NumExponents()
 	audits := 0
 	for leg := 0; leg < 10; leg++ {
 		ch.Run(4_000)
@@ -237,8 +165,10 @@ func TestAlignmentExponentsMatchEnergy(t *testing.T) {
 				lp := pt.Pos.Neighbor(d)
 				clone := c.Clone()
 				var want float64
+				var dE Exponents
 				if lpc, occupied := g.LpColor(); occupied {
-					if !m.SwapExponents(&g, dE) {
+					var ok bool
+					if dE, ok = m.SwapExponents(g); !ok {
 						continue // vetoed proposal, nothing to audit
 					}
 					if lc, _ := g.LColor(); lc == lpc {
@@ -259,21 +189,21 @@ func TestAlignmentExponentsMatchEnergy(t *testing.T) {
 					if !c.MoveValid(pt.Pos, lp) {
 						continue
 					}
-					m.MoveExponents(&g, dE)
+					dE = m.MoveExponents(g)
 					if err := clone.ApplyMove(pt.Pos, lp); err != nil {
 						t.Fatal(err)
 					}
 					want = m.Energy(clone, coup) - base
 				}
 				got := 0.0
-				for i, e := range dE {
+				for i, e := range dE[:k] {
 					got -= float64(e) * logc[i]
 				}
 				if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 					t.Fatalf("leg %d: proposal at %v dir %v: exponents %v claim ΔE=%g, brute force %g",
 						leg, pt.Pos, d, dE, got, want)
 				}
-				for _, e := range dE {
+				for _, e := range dE[:k] {
 					if e < -maxExp || e > maxExp {
 						t.Fatalf("exponent %d outside table headroom ±%d", e, maxExp)
 					}
@@ -468,9 +398,9 @@ func TestAnnealCheckpointExactResume(t *testing.T) {
 	}
 }
 
-// TestSetCouplingsGeneric covers mid-run retuning on the generic path:
-// SetParams is refused (couplings own the bias now), SetCouplings rebuilds
-// the tables, and a bad vector is rejected with the named error.
+// TestSetCouplingsGeneric covers mid-run retuning of a non-separation
+// model: SetCouplings rebuilds the tables, and a bad vector is rejected
+// with the named error.
 func TestSetCouplingsGeneric(t *testing.T) {
 	cfg, err := Initial(LayoutSpiral, []int{12, 12}, 2)
 	if err != nil {
@@ -479,9 +409,6 @@ func TestSetCouplingsGeneric(t *testing.T) {
 	ch, err := NewWithModel(cfg, Params{Seed: 2}, Alignment, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := ch.SetParams(Params{Lambda: 4, Gamma: 4}); err == nil {
-		t.Fatal("SetParams accepted on a non-separation chain")
 	}
 	if err := ch.SetCouplings([]float64{2, 8, 3}); err != nil {
 		t.Fatal(err)
@@ -601,31 +528,8 @@ func TestShardedAnnealSchedule(t *testing.T) {
 	}
 }
 
-// BenchmarkChainStepModelGeneric is the pluggable-substrate overhead
-// gate: the exact workload of the root package's BenchmarkChainStep
-// (n = 100 bichromatic line, λ = γ = 4, burned in to the compressed
-// steady state) rerouted off the devirtualized separation fast path and
-// through the generic Model dispatch. CI maps this entry onto
-// BenchmarkChainStep in BENCH_PR4.json, so ns/op here bounds what the
-// interface seam costs every non-separation model; allocs/op must stay 0.
-func BenchmarkChainStepModelGeneric(b *testing.B) {
-	cfg := mustInitial(b, LayoutLine, Bichromatic(100), 1)
-	ch, err := New(cfg, Params{Lambda: 4, Gamma: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch.forceGeneric()
-	ch.Run(200_000) // burn in to the compressed steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.Step()
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
-}
-
-// BenchmarkChainStepAlignment measures a real non-separation workload on
-// the generic path: the 3-color alignment Hamiltonian at the same scale
+// BenchmarkChainStepAlignment measures a real non-separation workload:
+// the 3-color alignment Hamiltonian at the same scale
 // as the separation kernel benchmarks.
 func BenchmarkChainStepAlignment(b *testing.B) {
 	cfg := mustInitial(b, LayoutLine, []int{34, 33, 33}, 1)

@@ -53,9 +53,17 @@ import (
 type Sharded struct {
 	store   *psys.TileStore
 	params  Params
-	tables  acceptTables
 	workers int
 	opts    ShardedOptions
+
+	// dynamics is the model the executor runs and its shared, read-only
+	// acceptance tables. For scheduled models the epoch driver clamps
+	// epoch budgets at schedule boundaries and rebuilds the tables between
+	// epochs — workers never observe a table change mid-epoch. stepOff is
+	// the absolute step count of the run this executor continues
+	// (ShardedOptions.StepOffset), so schedules resume exactly.
+	dynamics
+	stepOff uint64
 
 	rngs []*rng.Buffered
 
@@ -73,24 +81,9 @@ type Sharded struct {
 	ticket atomic.Uint64
 	wlogs  [][]MoveRecord
 
+	// locks stays last: boundary proposals write it, so no field every
+	// proposal reads may share a cache line with it.
 	locks [numStripes]sync.Mutex
-
-	// Pluggable-dynamics state, mirroring Chain: fast marks the built-in
-	// separation model (original worker kernel); any other model runs the
-	// generic worker against the shared read-only mt tables. For scheduled
-	// models the epoch driver clamps epoch budgets at schedule boundaries
-	// and rebuilds mt between epochs — workers never observe a table
-	// change mid-epoch. stepOff is the absolute step count of the run this
-	// executor continues (ShardedOptions.StepOffset), so schedules resume
-	// exactly.
-	model   Model
-	fast    bool
-	coup    []float64
-	coupNow []float64
-	mt      modelTables
-	sched   Scheduler
-	nextReb uint64
-	stepOff uint64
 }
 
 // ShardedOptions configures a sharded executor.
@@ -114,10 +107,12 @@ type ShardedOptions struct {
 	StepOffset uint64
 }
 
-// OpKind distinguishes logged operations.
+// OpKind names an accepted operation: the outcome of the kernel's
+// decision on one proposal (0 when rejected) and the kind of a logged
+// record.
 type OpKind uint8
 
-// Logged operation kinds.
+// Operation kinds.
 const (
 	OpMove OpKind = iota + 1
 	OpSwap
@@ -182,95 +177,28 @@ func NewShardedWithModel(cfg *psys.Config, params Params, m Model, coup []float6
 	if !cfg.Connected() {
 		return nil, ErrDisconnected
 	}
-	return newSharded(psys.NewTileStoreFrom(cfg), cfg.Points(), params, m, coup, opts)
-}
-
-// NewShardedFromStore builds a sharded executor that takes ownership of
-// store, which must hold a nonempty connected configuration, running the
-// separation dynamics. It is the entry point for configurations too
-// stringy to densify.
-func NewShardedFromStore(store *psys.TileStore, params Params, opts ShardedOptions) (*Sharded, error) {
-	if store.N() == 0 {
-		return nil, ErrEmptyConfig
-	}
-	if !store.Connected() {
-		return nil, ErrDisconnected
-	}
-	return newSharded(store, store.Points(), params, Separation, []float64{params.Lambda, params.Gamma}, opts)
-}
-
-func newSharded(store *psys.TileStore, positions []lattice.Point, params Params, m Model, coup []float64, opts ShardedOptions) (*Sharded, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if m == nil {
-		m = Separation
-	}
-	if b, ok := m.(Binder); ok {
-		m = b.Bind(store.NumColors())
-	}
-	if coup == nil {
-		coup = DefaultCouplings(m)
-	} else {
-		coup = append([]float64(nil), coup...)
-	}
-	_, fast := m.(separationModel)
-	if fast {
-		params.Lambda, params.Gamma = coup[0], coup[1]
-	} else {
-		params.Lambda, params.Gamma = 1, 1
-		if i := CouplingIndex(m, "lambda"); i >= 0 {
-			params.Lambda = coup[i]
-		}
-		if i := CouplingIndex(m, "gamma"); i >= 0 {
-			params.Gamma = coup[i]
-		}
-	}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ValidateCouplings(m, coup); err != nil {
-		return nil, err
-	}
 	s := &Sharded{
-		store:     store,
-		params:    params,
-		workers:   opts.Workers,
-		opts:      opts,
-		positions: positions,
-		scratch:   make([]lattice.Point, len(positions)),
-		rngs:      make([]*rng.Buffered, opts.Workers),
-		wlogs:     make([][]MoveRecord, opts.Workers),
-		model:     m,
-		fast:      fast,
-		coup:      coup,
-		stepOff:   opts.StepOffset,
-		nextReb:   math.MaxUint64,
+		workers: opts.Workers,
+		opts:    opts,
+		rngs:    make([]*rng.Buffered, opts.Workers),
+		wlogs:   make([][]MoveRecord, opts.Workers),
+		stepOff: opts.StepOffset,
 	}
-	if s.fast {
-		s.coupNow = s.coup
-		s.tables.rebuild(params)
-	} else if sched, ok := m.(Scheduler); ok {
-		s.sched = sched
-		s.coupNow = append([]float64(nil), s.coup...)
-		s.syncSchedule(s.stepOff)
-	} else {
-		s.coupNow = s.coup
-		s.mt.rebuild(s.model, s.coupNow[:m.NumExponents()])
+	params, err := s.setup(m, cfg.NumColors(), params, coup, s.stepOff)
+	if err != nil {
+		return nil, err
 	}
+	s.params = params
+	s.store = psys.NewTileStoreFrom(cfg)
+	s.positions = cfg.Points()
+	s.scratch = make([]lattice.Point, len(s.positions))
 	for w := range s.rngs {
 		s.rngs[w] = rng.NewBuffered(rng.SeedAt(opts.Seed, uint64(w)))
 	}
 	return s, nil
-}
-
-// syncSchedule recomputes the effective couplings for absolute step abs
-// and rebuilds the shared acceptance tables. Called only between epochs
-// (or at construction), never while workers run.
-func (s *Sharded) syncSchedule(abs uint64) {
-	k := s.model.NumExponents()
-	s.nextReb = s.sched.Effective(s.coup, abs, s.coupNow[:k])
-	s.mt.rebuild(s.model, s.coupNow[:k])
 }
 
 // Model returns the dynamics the executor runs.
@@ -360,7 +288,7 @@ func (s *Sharded) Run(ctx context.Context, steps uint64) (uint64, error) {
 			// coordination (workers never exceed their budget share).
 			abs := s.stepOff + s.stats.Steps
 			if abs >= s.nextReb {
-				s.syncSchedule(abs)
+				s.retune(abs)
 			}
 			if room := s.nextReb - abs; s.nextReb != math.MaxUint64 && room < budget {
 				budget = room
@@ -412,11 +340,7 @@ func (s *Sharded) runEpoch(budget uint64) uint64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if s.fast {
-				s.runWorker(w, parts[w], bandLo[w], bandHi[w], budgets[w], &escape, &results[w])
-			} else {
-				s.runWorkerModel(w, parts[w], bandLo[w], bandHi[w], budgets[w], &escape, &results[w])
-			}
+			s.runWorker(w, parts[w], bandLo[w], bandHi[w], budgets[w], &escape, &results[w])
 		}(w)
 	}
 	wg.Wait()
@@ -549,11 +473,14 @@ func (s *Sharded) unlockRegion(stripes *[10]int, k int) {
 
 // runWorker performs up to budget proposals for one band. parts is the
 // worker's owned particle segment (updated in place as moves are
-// accepted), [lo, hi) its row range.
+// accepted), [lo, hi) its row range. Proposals are decided as in
+// Chain.Step, through the shared tables, which are read-only for the
+// whole epoch; models are required to be safe for concurrent use.
 func (s *Sharded) runWorker(w int, parts []lattice.Point, lo, hi int, budget uint64, escape *atomic.Bool, res *workerResult) {
 	r := s.rngs[w]
 	single := s.workers == 1
 	record := s.opts.RecordLog
+	swaps := !s.params.DisableSwaps
 	lockFreeLo, lockFreeHi := lo+bandMargin, hi-bandMargin
 	var st Stats
 	var flushed Stats
@@ -583,174 +510,35 @@ func (s *Sharded) runWorker(w int, parts []lattice.Point, lo, hi int, budget uin
 		if !single && (l.R < lockFreeLo || l.R >= lockFreeHi) {
 			locked = s.lockRegion(l, dir, &stripes)
 		}
-		g := s.store.GatherPair(l, dir)
-
-		if _, occupied := g.LpColor(); occupied {
-			// Swap attempt, mirroring Chain.trySwap: accepted same-color
-			// swaps are no-ops counted as rejected.
-			accepted := false
-			if !s.params.DisableSwaps && acceptDraw(r, s.tables.swapThreshold(g.SwapExponent())) {
-				ci, _ := g.LColor()
-				cj, _ := g.LpColor()
-				if ci != cj {
-					lp := l.Neighbor(dir)
-					if err := s.store.ApplySwap(l, lp); err != nil {
-						panic("core: invariant violation applying sharded swap: " + err.Error())
-					}
-					if record {
-						wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpSwap, L: l, Lp: lp})
-					}
-					st.Swaps++
-					accepted = true
-				}
+		op := s.decide(s.store.GatherPair(l, dir), r, swaps)
+		lp := l.Neighbor(dir)
+		switch op {
+		case OpSwap:
+			if err := s.store.ApplySwap(l, lp); err != nil {
+				panic("core: invariant violation applying sharded swap: " + err.Error())
 			}
-			if !accepted {
-				st.Rejected++
+			st.Swaps++
+		case OpMove:
+			if err := s.store.ApplyMove(l, lp); err != nil {
+				panic("core: invariant violation applying sharded move: " + err.Error())
 			}
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
-			}
-		} else if g.MoveOK() {
-			dLambda, dGamma := g.MoveExponents()
-			if acceptDraw(r, s.tables.moveThreshold(dLambda, dGamma)) {
-				lp := l.Neighbor(dir)
-				if err := s.store.ApplyMove(l, lp); err != nil {
-					panic("core: invariant violation applying sharded move: " + err.Error())
-				}
-				if record {
-					wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpMove, L: l, Lp: lp})
-				}
-				parts[idx] = lp
-				st.Moves++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-				if lp.R < lo-bandCollar || lp.R >= hi+bandCollar {
-					// The particle left its collar: end the epoch so the
-					// next partition restores every band's margin headroom.
-					escape.Store(true)
-					break
-				}
-			} else {
-				st.Rejected++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-			}
-		} else {
+			parts[idx] = lp
+			st.Moves++
+		default:
 			st.Rejected++
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
-			}
 		}
-
-		if st.Steps-flushed.Steps >= shardProbeBatch {
-			flush()
+		if op != 0 && record {
+			// The ticket is taken while the region is still held.
+			wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: op, L: l, Lp: lp})
 		}
-	}
-	flush()
-	s.wlogs[w] = wlog
-	res.stats = st
-}
-
-// runWorkerModel is runWorker on the generic model kernel: the identical
-// ownership, locking, collar and probe discipline, with validity probed
-// from the shared model-built tables and exponents extracted through the
-// Model interface into a per-worker scratch vector. The tables are
-// read-only for the whole epoch; models are required to be safe for
-// concurrent use.
-func (s *Sharded) runWorkerModel(w int, parts []lattice.Point, lo, hi int, budget uint64, escape *atomic.Bool, res *workerResult) {
-	r := s.rngs[w]
-	single := s.workers == 1
-	record := s.opts.RecordLog
-	lockFreeLo, lockFreeHi := lo+bandMargin, hi-bandMargin
-	var st Stats
-	var flushed Stats
-	var stripes [10]int
-	wlog := s.wlogs[w]
-	m := s.model
-	dE := make([]int8, m.NumExponents())
-	var g psys.PairGather
-
-	sink := s.probe
-	if s.workerProbes != nil {
-		sink = s.workerProbes[w]
-	}
-	flush := func() {
-		if sink == nil {
-			return
+		if locked > 0 {
+			s.unlockRegion(&stripes, locked)
 		}
-		sink.Add(st.Steps-flushed.Steps, st.Moves-flushed.Moves,
-			st.Swaps-flushed.Swaps, st.Rejected-flushed.Rejected)
-		flushed = st
-	}
-
-	for st.Steps < budget && !escape.Load() {
-		st.Steps++
-		idx := r.Intn(len(parts))
-		l := parts[idx]
-		dir := lattice.Direction(r.Intn(lattice.NumDirections))
-
-		locked := 0
-		if !single && (l.R < lockFreeLo || l.R >= lockFreeHi) {
-			locked = s.lockRegion(l, dir, &stripes)
-		}
-		g = s.store.GatherPair(l, dir)
-
-		if _, occupied := g.LpColor(); occupied {
-			accepted := false
-			if !s.params.DisableSwaps && m.SwapExponents(&g, dE) &&
-				acceptDraw(r, s.mt.thresh[s.mt.flat(dE)]) {
-				ci, _ := g.LColor()
-				cj, _ := g.LpColor()
-				if ci != cj {
-					lp := l.Neighbor(dir)
-					if err := s.store.ApplySwap(l, lp); err != nil {
-						panic("core: invariant violation applying sharded swap: " + err.Error())
-					}
-					if record {
-						wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpSwap, L: l, Lp: lp})
-					}
-					st.Swaps++
-					accepted = true
-				}
-			}
-			if !accepted {
-				st.Rejected++
-			}
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
-			}
-		} else if s.mt.moveOK[g.Dir()][g.Occ()] {
-			m.MoveExponents(&g, dE)
-			if acceptDraw(r, s.mt.thresh[s.mt.flat(dE)]) {
-				lp := l.Neighbor(dir)
-				if err := s.store.ApplyMove(l, lp); err != nil {
-					panic("core: invariant violation applying sharded move: " + err.Error())
-				}
-				if record {
-					wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpMove, L: l, Lp: lp})
-				}
-				parts[idx] = lp
-				st.Moves++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-				if lp.R < lo-bandCollar || lp.R >= hi+bandCollar {
-					escape.Store(true)
-					break
-				}
-			} else {
-				st.Rejected++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-			}
-		} else {
-			st.Rejected++
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
-			}
+		if op == OpMove && (lp.R < lo-bandCollar || lp.R >= hi+bandCollar) {
+			// The particle left its collar: end the epoch so the next
+			// partition restores every band's margin headroom.
+			escape.Store(true)
+			break
 		}
 
 		if st.Steps-flushed.Steps >= shardProbeBatch {

@@ -61,7 +61,7 @@ func TestAcceptThresholdEquivalence(t *testing.T) {
 }
 
 // TestAcceptConsumesDrawExactlyWhenSeedDid pins the stream contract of
-// Chain.accept: the sentinel threshold consumes no randomness, any other
+// acceptDraw on a chain's stream: the sentinel threshold consumes no randomness, any other
 // threshold consumes exactly one Uint64 — matching the seed's
 // `prob < 1 && rand.Float64() >= prob` short-circuit.
 func TestAcceptConsumesDrawExactlyWhenSeedDid(t *testing.T) {
@@ -74,14 +74,14 @@ func TestAcceptConsumesDrawExactlyWhenSeedDid(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := ch.rand.MarshalText()
-	if !ch.accept(probScale) {
+	if !acceptDraw(ch.rand, probScale) {
 		t.Fatal("sentinel threshold must accept")
 	}
 	after, _ := ch.rand.MarshalText()
 	if string(before) != string(after) {
 		t.Fatal("sentinel threshold consumed a random draw")
 	}
-	ch.accept(probScale / 2)
+	acceptDraw(ch.rand, probScale/2)
 	after2, _ := ch.rand.MarshalText()
 	if string(after) == string(after2) {
 		t.Fatal("sub-unit threshold consumed no random draw")

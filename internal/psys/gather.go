@@ -216,13 +216,6 @@ func (g *PairGather) LpColor() (Color, bool) {
 	return Color(g.clp - 1), g.clp != 0
 }
 
-// MoveOK reports conditions (i) and (ii) of Algorithm 1 for moving the
-// particle at l to lp: Degree(l) ≠ 5 and Property 4 or Property 5 holds.
-// Meaningful only when lp is vacant.
-func (g *PairGather) MoveOK() bool {
-	return pairTables[g.dir].moveOK[g.occ]
-}
-
 // colorHi returns a mask with the high bit of byte lane k set iff ring
 // cell k holds a particle of color col: a SWAR zero-lane detection on the
 // XOR against the broadcast cell value. The (x | high) − ones form keeps
@@ -236,19 +229,6 @@ func (g *PairGather) colorHi(col Color) uint64 {
 	)
 	x := g.ring ^ (uint64(col+1) * ones)
 	return high &^ (x | ((x | high) - ones))
-}
-
-// MoveExponents returns the Metropolis exponents of a move proposal,
-// dLambda = e′ − e and dGamma = e′_i − e_i, as popcount differences over
-// the packed ring. Meaningful only when l is occupied and lp vacant.
-// Both results are within ±5 by construction (each term counts at most
-// the 5 ring cells on one side).
-func (g *PairGather) MoveExponents() (dLambda, dGamma int) {
-	t := &pairTables[g.dir]
-	dLambda = bits.OnesCount8(g.occ&t.adjLp) - bits.OnesCount8(g.occ&t.adjL)
-	ci := g.colorHi(Color(g.cl - 1))
-	dGamma = bits.OnesCount64(ci&t.adjLp64) - bits.OnesCount64(ci&t.adjL64)
-	return dLambda, dGamma
 }
 
 // Dir returns the proposal direction the gather was taken along.
@@ -274,28 +254,12 @@ func (g *PairGather) ColorCounts(col Color) (nl, nlp int) {
 	return bits.OnesCount64(hi & t.adjL64), bits.OnesCount64(hi & t.adjLp64)
 }
 
-// MoveOK probes the per-direction movement-validity table directly:
-// whether ring occupancy mask occ (with lp vacant) satisfies conditions
-// (i) and (ii) of Algorithm 1. This is the same table PairGather.MoveOK
-// consults; models that keep the paper's locality predicate delegate to it
-// when building their own validity tables.
+// MoveOK reports conditions (i) and (ii) of Algorithm 1 for a proposal in
+// direction dir whose ring occupancy mask is occ (lp vacant): Degree(l) ≠ 5
+// and the pair satisfies Property 4 or Property 5. It probes the
+// per-direction validity table; models that keep the paper's locality
+// predicate delegate to it when building their own validity tables, and
+// the kernel probes those with the gather's Dir and Occ.
 func MoveOK(dir lattice.Direction, occ uint8) bool {
 	return pairTables[dir].moveOK[occ]
-}
-
-// SwapExponent returns the Metropolis exponent of a swap proposal — the
-// change in same-color adjacencies when the particles at l and lp
-// exchange positions. Meaningful only when both l and lp are occupied.
-// The result is within ±10 (two ±5 popcount differences; exactly −2 for
-// same-colored pairs, whose only changed adjacencies are their own edge
-// counted once from each side).
-func (g *PairGather) SwapExponent() int {
-	if g.cl == g.clp {
-		return -2
-	}
-	t := &pairTables[g.dir]
-	ci := g.colorHi(Color(g.cl - 1))
-	cj := g.colorHi(Color(g.clp - 1))
-	return bits.OnesCount64(ci&t.adjLp64) - bits.OnesCount64(ci&t.adjL64) +
-		bits.OnesCount64(cj&t.adjL64) - bits.OnesCount64(cj&t.adjLp64)
 }

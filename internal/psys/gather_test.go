@@ -42,20 +42,19 @@ func checkGatherAgainstReference(t *testing.T, c *Config, l lattice.Point, dir l
 
 	if lOcc && !lpOcc {
 		wantOK := c.Degree(l) != 5 && (c.Property4(l, lp) || c.Property5(l, lp))
-		if got := g.MoveOK(); got != wantOK {
+		if got := MoveOK(g.Dir(), g.Occ()); got != wantOK {
 			t.Fatalf("l=%v dir=%v: MoveOK %v, reference %v", l, dir, got, wantOK)
 		}
-		wantDL := c.DegreeExcluding(lp, l) - c.Degree(l)
-		wantDG := c.ColorDegreeExcluding(lp, l, ci) - c.ColorDegree(l, ci)
-		if dl, dg := g.MoveExponents(); dl != wantDL || dg != wantDG {
-			t.Fatalf("l=%v dir=%v: MoveExponents (%d,%d), reference (%d,%d)", l, dir, dl, dg, wantDL, wantDG)
-		}
 	}
-	if lOcc && lpOcc {
-		want := c.ColorDegreeExcluding(lp, l, ci) - c.ColorDegree(l, ci) +
-			c.ColorDegreeExcluding(l, lp, cj) - c.ColorDegree(lp, cj)
-		if got := g.SwapExponent(); got != want {
-			t.Fatalf("l=%v dir=%v: SwapExponent %d, reference %d", l, dir, got, want)
+	// The popcount primitives models build their exponents from.
+	if nl, nlp := g.DegreeCounts(); nl != c.DegreeExcluding(l, lp) || nlp != c.DegreeExcluding(lp, l) {
+		t.Fatalf("l=%v dir=%v: DegreeCounts (%d,%d), reference (%d,%d)", l, dir, nl, nlp,
+			c.DegreeExcluding(l, lp), c.DegreeExcluding(lp, l))
+	}
+	for col := Color(0); col < MaxColors; col++ {
+		wl, wlp := c.ColorDegreeExcluding(l, lp, col), c.ColorDegreeExcluding(lp, l, col)
+		if nl, nlp := g.ColorCounts(col); nl != wl || nlp != wlp {
+			t.Fatalf("l=%v dir=%v color %d: ColorCounts (%d,%d), reference (%d,%d)", l, dir, col, nl, nlp, wl, wlp)
 		}
 	}
 }

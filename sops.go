@@ -328,11 +328,15 @@ type System struct {
 	th    metrics.Thresholds
 	meter *metrics.Meter
 
-	// Auto-checkpointing, configured by SetAutoCheckpoint: during RunContext
-	// the chain state is written atomically to ckptPath every ckptEvery
-	// steps, so a killed process loses at most one interval of work.
+	// Auto-checkpointing, configured by SetAutoCheckpoint: during Run the
+	// chain state is written atomically to ckptPath at every absolute
+	// multiple of ckptEvery steps and when the run stops, so a killed
+	// process loses at most one interval of work. ckptAt is the step count
+	// of the last write (valid when ckptHas), so no step is written twice.
 	ckptPath  string
 	ckptEvery uint64
+	ckptAt    uint64
+	ckptHas   bool
 
 	// enc, sealed and cpView are the reusable scratch of the binary
 	// checkpoint writer; after the first write, checkpointing allocates
@@ -473,9 +477,10 @@ type RunSpec struct {
 // resumed, measured or checkpointed.
 //
 // If SetAutoCheckpoint configured a checkpoint file, the state is written
-// to it (atomically) after every checkpoint interval and once more when
-// the run stops, including on cancellation; a checkpoint write failure
-// stops the run and is returned.
+// to it (atomically) at every absolute multiple of the checkpoint interval
+// and once more when the run stops, including on cancellation, unless the
+// stopping step was just written; a checkpoint write failure stops the
+// run and is returned.
 //
 // deriveTrace hands rec the run constants — λ, γ and the per-color
 // particle census — that let binary trace flushes elide derivable
@@ -499,6 +504,19 @@ func (s *System) Run(ctx context.Context, spec RunSpec) (uint64, error) {
 	if spec.Workers > 1 {
 		return s.runSharded(ctx, spec)
 	}
+	done, err := s.runSerial(ctx, spec)
+	if err == nil || err == ctx.Err() {
+		// Seal the stopping point (a failed interval write is not retried).
+		if werr := s.autoCheckpoint(); werr != nil && err == nil {
+			err = werr
+		}
+	}
+	return done, err
+}
+
+// runSerial executes one RunSpec on the serial chain, sampling on the
+// spec's cadence and writing interval checkpoints.
+func (s *System) runSerial(ctx context.Context, spec RunSpec) (uint64, error) {
 	var rec *Recorder
 	if spec.Telemetry != nil {
 		if spec.Telemetry.Probe != nil {
@@ -612,10 +630,7 @@ func (s *System) runSharded(ctx context.Context, spec RunSpec) (uint64, error) {
 			return fmt.Errorf("sops: sharded run: %w", err)
 		}
 		s.chain.AbsorbStats(sh.Stats())
-		if s.ckptEvery > 0 && s.ckptPath != "" {
-			return s.WriteCheckpoint(s.ckptPath)
-		}
-		return nil
+		return s.autoCheckpoint()
 	}
 
 	sampling := spec.Observer != nil || rec != nil
@@ -651,27 +666,41 @@ func (s *System) runSharded(ctx context.Context, spec RunSpec) (uint64, error) {
 }
 
 // runCheckpointed performs up to steps iterations with cancellation,
-// honoring the SetAutoCheckpoint configuration.
+// writing the auto-checkpoint (if configured) at every absolute multiple
+// of its interval the run reaches. The write at the run's stopping point
+// is Run's.
 func (s *System) runCheckpointed(ctx context.Context, steps uint64) (uint64, error) {
 	if s.ckptEvery == 0 || s.ckptPath == "" {
 		return s.chain.RunContext(ctx, steps)
 	}
 	var done uint64
 	for done < steps {
-		batch := s.ckptEvery
-		if steps-done < batch {
-			batch = steps - done
-		}
+		batch := min(s.ckptEvery-s.Steps()%s.ckptEvery, steps-done)
 		n, err := s.chain.RunContext(ctx, batch)
 		done += n
-		if werr := s.WriteCheckpoint(s.ckptPath); werr != nil && err == nil {
-			err = werr
-		}
 		if err != nil {
 			return done, err
 		}
+		if s.Steps()%s.ckptEvery == 0 {
+			if err := s.autoCheckpoint(); err != nil {
+				return done, err
+			}
+		}
 	}
 	return done, nil
+}
+
+// autoCheckpoint writes the SetAutoCheckpoint file, if one is configured
+// and it does not already hold the current step.
+func (s *System) autoCheckpoint() error {
+	if s.ckptEvery == 0 || s.ckptPath == "" || (s.ckptHas && s.ckptAt == s.Steps()) {
+		return nil
+	}
+	if err := s.WriteCheckpoint(s.ckptPath); err != nil {
+		return err
+	}
+	s.ckptAt, s.ckptHas = s.Steps(), true
+	return nil
 }
 
 // RunSteps performs steps iterations unconditionally. It never checkpoints
@@ -757,13 +786,14 @@ func IsSeparated(cfg *Config, beta, delta float64) bool {
 // and long runs.
 func (s *System) CheckInvariants() error { return s.chain.Config().CheckInvariants() }
 
-// SetAutoCheckpoint configures crash-safe checkpointing for RunContext and
-// Run: the full chain state is written atomically (temp file + rename) to
-// path after every `every` steps, so a process killed mid-run loses at most
-// one interval of work and resumes with RestoreFile. every = 0 or an empty
-// path disables auto-checkpointing.
+// SetAutoCheckpoint configures crash-safe checkpointing for Run: the full
+// chain state is written atomically (temp file + rename) to path at every
+// absolute multiple of `every` steps and when a run stops, so a process
+// killed mid-run loses at most one interval of work and resumes with
+// RestoreFile. A sharded run writes once, when it stops. every = 0 or an
+// empty path disables auto-checkpointing.
 func (s *System) SetAutoCheckpoint(path string, every uint64) {
-	s.ckptPath, s.ckptEvery = path, every
+	s.ckptPath, s.ckptEvery, s.ckptHas = path, every, false
 }
 
 // The checkpoint surface comes in three symmetric pairs:
