@@ -2,6 +2,7 @@ package sops
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -81,48 +82,57 @@ func (c *renameCounter) Rename(oldpath, newpath string) error {
 }
 
 // TestAutoCheckpointCadence: a sampled run writes its auto-checkpoint at
-// the absolute multiples of the interval, not at every sample boundary,
-// and the stopping step is not written twice — 10⁶ steps sampled every
-// 10⁴ with a 10⁵ interval seal exactly 10 checkpoints. A run stopping off
-// the cadence adds exactly one write, at its stopping step.
+// the absolute multiples of the interval, not at every sample boundary
+// nor once per Run, and the stopping step is not written twice — 10⁶
+// steps sampled every 10⁴ with a 10⁵ interval seal exactly 10
+// checkpoints. A run stopping off the cadence adds exactly two writes:
+// one at the interval it crosses, one at its stopping step. Both engines
+// keep the rule; the sharded leg has enough particles for two bands.
 func TestAutoCheckpointCadence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cadence.ckpt")
-	fs := &renameCounter{FS: failfs.Get(), path: path}
-	defer failfs.Swap(fs)()
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cadence.ckpt")
+			fs := &renameCounter{FS: failfs.Get(), path: path}
+			defer failfs.Swap(fs)()
 
-	sys, err := New(Options{Counts: []int{8, 8}, Lambda: 4, Gamma: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetAutoCheckpoint(path, 100_000)
-	samples := 0
-	spec := RunSpec{Steps: 1_000_000, SampleEvery: 10_000, Observer: func(Snapshot) bool {
-		samples++
-		return true
-	}}
-	if _, err := sys.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	if samples != 100 {
-		t.Fatalf("observer fired %d times, want 100", samples)
-	}
-	if got := fs.n.Load(); got != 10 {
-		t.Fatalf("1e6 steps with a 1e5 interval wrote %d checkpoints, want 10", got)
-	}
+			sys, err := New(Options{Counts: []int{200, 200}, Lambda: 4, Gamma: 4, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetAutoCheckpoint(path, 100_000)
+			samples := 0
+			spec := RunSpec{Steps: 1_000_000, SampleEvery: 10_000, Workers: workers, Observer: func(Snapshot) bool {
+				samples++
+				return true
+			}}
+			if _, err := sys.Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+			if samples != 100 {
+				t.Fatalf("observer fired %d times, want 100", samples)
+			}
+			if got := fs.n.Load(); got != 10 {
+				t.Fatalf("1e6 steps with a 1e5 interval wrote %d checkpoints, want 10", got)
+			}
 
-	spec.Steps = 150_000 // crosses 1.1e6, stops at 1.15e6
-	if _, err := sys.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.n.Load(); got != 12 {
-		t.Fatalf("continuation wrote %d checkpoints in total, want 12", got)
-	}
-	restored, err := RestoreFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Steps() != 1_150_000 {
-		t.Fatalf("checkpoint holds %d steps, want 1150000", restored.Steps())
+			spec.Steps = 150_000 // crosses 1.1e6, stops at 1.15e6
+			if _, err := sys.Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+			if got := fs.n.Load(); got != 12 {
+				t.Fatalf("continuation wrote %d checkpoints in total, want 12", got)
+			}
+			restored, err := RestoreFile(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.Steps() != 1_150_000 {
+				t.Fatalf("checkpoint holds %d steps, want 1150000", restored.Steps())
+			}
+			if !restored.Config().Equal(sys.Config()) {
+				t.Fatal("checkpoint configuration differs from the System's")
+			}
+		})
 	}
 }
 

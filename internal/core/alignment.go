@@ -117,7 +117,7 @@ func isNear(a, b psys.Color, k int) bool {
 // nearEdges counts the near-aligned adjacencies of a full configuration —
 // the m(σ) term of the Hamiltonian. Each undirected edge is seen from
 // both endpoints, hence the halving.
-func (m alignmentModel) nearEdges(v ConfigView) int {
+func (m alignmentModel) nearEdges(v psys.View) int {
 	k := m.k
 	if k == 0 {
 		k = v.NumColors()
@@ -136,7 +136,7 @@ func (m alignmentModel) nearEdges(v ConfigView) int {
 	return total / 2
 }
 
-func (m alignmentModel) Energy(v ConfigView, coup []float64) float64 {
+func (m alignmentModel) Energy(v psys.View, coup []float64) float64 {
 	return -float64(v.Edges())*math.Log(coup[0]) -
 		float64(v.HomEdges())*math.Log(coup[1]) -
 		float64(m.nearEdges(v))*math.Log(coup[2])
@@ -150,7 +150,7 @@ func (alignmentModel) ObservableNames() []string {
 // near-aligned edge fractions, and the magnitude of the mean orientation
 // phasor |Σ_c n_c·e^{2πic/k}|/n — 1 when every particle shares one
 // orientation, ~0 in the disordered phase.
-func (m alignmentModel) Observe(v ConfigView, coup []float64, out []float64) {
+func (m alignmentModel) Observe(v psys.View, coup []float64, out []float64) {
 	out[0], out[1] = 0, 0
 	if e := v.Edges(); e > 0 {
 		out[0] = float64(v.HomEdges()) / float64(e)

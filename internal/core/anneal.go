@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"sops/internal/psys"
+)
 
 // annealModel is a k-color annealed schedule interpolating compression →
 // separation: the kernel is exactly the separation model's (same validity
@@ -63,7 +67,7 @@ func (*annealModel) ObservableNames() []string {
 	return []string{"gammaEff", "homEdgeFrac"}
 }
 
-func (*annealModel) Observe(v ConfigView, coup []float64, out []float64) {
+func (*annealModel) Observe(v psys.View, coup []float64, out []float64) {
 	out[0] = coup[1] // executors pass effective couplings
 	out[1] = 0
 	if e := v.Edges(); e > 0 {

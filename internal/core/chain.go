@@ -365,12 +365,7 @@ func (c *Chain) AbsorbStats(st Stats) {
 }
 
 // Run performs steps iterations.
-func (c *Chain) Run(steps uint64) {
-	for i := uint64(0); i < steps; i++ {
-		c.Step()
-	}
-	c.FlushProbe()
-}
+func (c *Chain) Run(steps uint64) { c.RunContext(context.Background(), steps) }
 
 // cancelCheckInterval is the number of steps RunContext performs between
 // polls of the context: large enough that the poll is free relative to the

@@ -20,12 +20,6 @@ func Energy(cfg *psys.Config, params Params) float64 {
 // under its model, at the effective couplings in force.
 func (c *Chain) Energy() float64 { return c.model.Energy(c.cfg, c.coupNow) }
 
-// EnergyStore is Energy over a tile store, from its O(1) cached counts.
-func EnergyStore(ts *psys.TileStore, params Params) float64 {
-	return -float64(ts.Edges())*math.Log(params.Lambda) -
-		float64(ts.HomEdges())*math.Log(params.Gamma)
-}
-
 // Energy returns the Hamiltonian of the executor's current configuration
 // under its model, at the effective couplings in force.
 func (s *Sharded) Energy() float64 { return s.model.Energy(s.store, s.coupNow) }

@@ -57,20 +57,6 @@ type Coupling struct {
 	Integer bool
 }
 
-// ConfigView is the read-only occupancy interface models observe — both
-// *psys.Config (serial chain) and *psys.TileStore (sharded executor)
-// satisfy it, so a model's Energy and Observables run unchanged under
-// either executor.
-type ConfigView interface {
-	N() int
-	Edges() int
-	HomEdges() int
-	NumColors() int
-	ColorCount(col psys.Color) int
-	At(p lattice.Point) (psys.Color, bool)
-	ForEach(f func(p lattice.Point, col psys.Color))
-}
-
 // Model is a local stochastic dynamics: a validity predicate over packed
 // pair neighborhoods plus a Hamiltonian expressed as integer exponents
 // over named coupling constants. A proposal with exponent vector dE is
@@ -106,7 +92,7 @@ type Model interface {
 	// Energy is the Hamiltonian value of a full configuration under the
 	// given energy-coupling values (length ≥ NumExponents); the chain's
 	// stationary distribution is π(σ) ∝ exp(−Energy(σ)).
-	Energy(v ConfigView, coup []float64) float64
+	Energy(v psys.View, coup []float64) float64
 }
 
 // Binder is implemented by models that specialize to a configuration at
@@ -140,7 +126,7 @@ type Observables interface {
 	ObservableNames() []string
 	// Observe fills out (length len(ObservableNames())) with the current
 	// values over v under energy couplings coup.
-	Observe(v ConfigView, coup []float64, out []float64)
+	Observe(v psys.View, coup []float64, out []float64)
 }
 
 // ErrUnknownModel reports a model name absent from the registry — e.g. a

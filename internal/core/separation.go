@@ -62,7 +62,7 @@ func (*separationModel) SwapExponents(g psys.PairGather) (Exponents, bool) {
 	return Exponents{0, int8(ilp - il + jl - jlp)}, true
 }
 
-func (*separationModel) Energy(v ConfigView, coup []float64) float64 {
+func (*separationModel) Energy(v psys.View, coup []float64) float64 {
 	return -float64(v.Edges())*math.Log(coup[0]) - float64(v.HomEdges())*math.Log(coup[1])
 }
 
@@ -70,7 +70,7 @@ func (*separationModel) ObservableNames() []string {
 	return []string{"homEdgeFrac"}
 }
 
-func (*separationModel) Observe(v ConfigView, coup []float64, out []float64) {
+func (*separationModel) Observe(v psys.View, coup []float64, out []float64) {
 	out[0] = 0
 	if e := v.Edges(); e > 0 {
 		out[0] = float64(v.HomEdges()) / float64(e)

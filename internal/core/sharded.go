@@ -75,7 +75,6 @@ type Sharded struct {
 	bandOfR   []int32 // R row → band index, reused across epochs
 
 	stats        Stats
-	probe        Probe
 	workerProbes []Probe
 
 	ticket atomic.Uint64
@@ -223,15 +222,11 @@ func (s *Sharded) Store() *psys.TileStore { return s.store }
 // Snapshot materializes the current configuration as a dense Config.
 func (s *Sharded) Snapshot() (*psys.Config, error) { return s.store.ToConfig() }
 
-// SetProbe attaches a telemetry probe; workers publish their statistics
-// into it in amortized batches, like the serial chain. The probe must be
-// safe for concurrent use (*telemetry.Probe is). Attach before Run.
-func (s *Sharded) SetProbe(p Probe) { s.probe = p }
-
 // SetWorkerProbes attaches one probe per worker (len must equal
-// Workers()); worker w publishes its batches to probes[w] instead of the
-// shared probe, so a telemetry.ProbeSet can attribute throughput to
-// bands. Attach before Run.
+// Workers()); worker w publishes its step statistics to probes[w] in
+// amortized batches, like the serial chain, so a telemetry.ProbeSet can
+// attribute throughput to bands. Probes must be safe for concurrent use
+// (*telemetry.Probe is). Attach before Run.
 func (s *Sharded) SetWorkerProbes(probes []Probe) error {
 	if len(probes) != s.workers {
 		return fmt.Errorf("core: %d worker probes for %d workers", len(probes), s.workers)
@@ -487,7 +482,7 @@ func (s *Sharded) runWorker(w int, parts []lattice.Point, lo, hi int, budget uin
 	var stripes [10]int
 	wlog := s.wlogs[w]
 
-	sink := s.probe
+	var sink Probe
 	if s.workerProbes != nil {
 		sink = s.workerProbes[w]
 	}

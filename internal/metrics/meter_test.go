@@ -33,6 +33,7 @@ func TestMeterMatchesCapture(t *testing.T) {
 
 	check(separatedSpiral(t, 60), 2)
 	check(mixedSpiral(t, 60, 3), 3)
+	check(overflowConfig(t), 4)
 
 	cfg, err := core.Initial(core.LayoutLine, []int{25, 25}, 9)
 	if err != nil {
@@ -52,6 +53,26 @@ func TestMeterMatchesCapture(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		check(separatedSpiral(t, 10+r.Intn(80)), uint64(i))
 	}
+}
+
+// overflowConfig builds a configuration whose two clusters lie about 10⁶
+// cells apart, so the remote one spills out of the dense window into the
+// overflow map — a shape no chain produces, which the capture must still
+// measure exactly.
+func overflowConfig(t *testing.T) *psys.Config {
+	t.Helper()
+	far := lattice.Point{Q: 1_000_000, R: 3}
+	cfg := buildConfig(t, []psys.Particle{
+		{Pos: lattice.Point{}, Color: 0},
+		{Pos: lattice.Point{Q: 1}, Color: 1},
+		{Pos: far, Color: 0},
+		{Pos: far.Neighbor(0), Color: 0},
+		{Pos: far.Neighbor(1), Color: 0},
+	})
+	if cfg.DenseOnly() {
+		t.Fatal("remote cluster stayed in the dense window")
+	}
+	return cfg
 }
 
 // mixedSpiral builds an n-particle spiral with colors assigned round-robin

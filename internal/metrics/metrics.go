@@ -173,38 +173,20 @@ func LargestClusterFraction(cfg *psys.Config, c psys.Color) float64 {
 // is the expected heterogeneous edge count if colors were assigned to the
 // occupied sites uniformly at random. Negative values indicate
 // anti-separation (more heterogeneous contact than random).
-func SegregationIndex(cfg *psys.Config) float64 { return segregationOf(cfg) }
-
-// EdgeCounts is the read surface the segregation index needs; both
-// psys.Config and psys.TileStore satisfy it, so the dense and tiled
-// paths share one float arithmetic sequence and agree bit for bit.
-type EdgeCounts interface {
-	N() int
-	Edges() int
-	HetEdges() int
-	ColorCount(psys.Color) int
-	NumColors() int
-}
-
-// SegregationIndexStore is SegregationIndex over a tile store, using its
-// O(1) cached counts.
-func SegregationIndexStore(ts *psys.TileStore) float64 { return segregationOf(ts) }
-
-func segregationOf(cfg EdgeCounts) float64 {
+func SegregationIndex(v psys.View) float64 {
 	var counts [psys.MaxColors]int
-	k := cfg.NumColors()
+	k := v.NumColors()
 	for i := 0; i < k; i++ {
-		counts[i] = cfg.ColorCount(psys.Color(i))
+		counts[i] = v.ColorCount(psys.Color(i))
 	}
-	return SegregationDerived(cfg.Edges(), cfg.HetEdges(), cfg.N(), counts[:k])
+	return SegregationDerived(v.Edges(), v.HetEdges(), v.N(), counts[:k])
 }
 
 // SegregationDerived computes the segregation index from its raw inputs:
 // total and heterogeneous edge counts, the particle total, and the
 // per-color particle counts. It is the single arithmetic sequence behind
-// SegregationIndex and SegregationIndexStore, exposed so decoders holding
-// only the counts (the binary trace codec) reproduce the index bit for
-// bit.
+// SegregationIndex, exposed so decoders holding only the counts (the
+// binary trace codec) reproduce the index bit for bit.
 func SegregationDerived(edges, hetEdges, n int, counts []int) float64 {
 	if edges == 0 || n < 2 {
 		return 0

@@ -29,6 +29,7 @@ func TestCaptureStoreMatchesCapture(t *testing.T) {
 	check(separatedSpiral(t, 60), 1)
 	check(mixedSpiral(t, 60, 3), 2)
 	check(mixedSpiral(t, 500, 2), 3)
+	check(overflowConfig(t), 4)
 
 	cfg, err := core.Initial(core.LayoutLine, []int{25, 25}, 9)
 	if err != nil {
@@ -79,15 +80,17 @@ func TestCaptureStoreLiveSharded(t *testing.T) {
 }
 
 // TestSegregationIndexStoreMatches pins the shared-arithmetic claim at
-// the function level across cluster geometries.
+// the function level across cluster geometries: SegregationIndex reads a
+// tile store and a Config bit for bit alike.
 func TestSegregationIndexStoreMatches(t *testing.T) {
 	for _, cfg := range []*psys.Config{
 		psys.New(),
 		separatedSpiral(t, 80),
 		mixedSpiral(t, 80, 2),
 		mixedSpiral(t, 33, 4),
+		overflowConfig(t),
 	} {
-		if got, want := SegregationIndexStore(psys.NewTileStoreFrom(cfg)), SegregationIndex(cfg); got != want {
+		if got, want := SegregationIndex(psys.NewTileStoreFrom(cfg)), SegregationIndex(cfg); got != want {
 			t.Fatalf("segregation diverges: store %v, dense %v (n=%d)", got, want, cfg.N())
 		}
 	}

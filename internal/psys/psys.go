@@ -53,6 +53,28 @@ type Particle struct {
 	Color Color
 }
 
+// View is the read surface of a configuration store: the incrementally
+// maintained counts, point lookup and a scan of every particle. Both
+// *Config (the serial chain's store) and *TileStore (the sharded
+// executor's) satisfy it, so model energies and the metrics capture are
+// written once and run on either.
+type View interface {
+	N() int
+	Edges() int
+	HomEdges() int
+	HetEdges() int
+	Perimeter() int
+	NumColors() int
+	ColorCount(col Color) int
+	At(p lattice.Point) (Color, bool)
+	ForEach(f func(p lattice.Point, col Color))
+}
+
+var (
+	_ View = (*Config)(nil)
+	_ View = (*TileStore)(nil)
+)
+
 // Config is a heterogeneous particle-system configuration. It is not safe
 // for concurrent mutation; the amoebot runtime provides synchronization.
 type Config struct {

@@ -470,18 +470,6 @@ type RunSpec struct {
 	Workers int
 }
 
-// Run performs up to spec.Steps iterations, sampling on spec's cadence and
-// stopping early when ctx is cancelled or the Observer returns false. It
-// returns the iterations actually performed, with ctx's error if the run
-// was cut short. The System remains valid after a cancelled run: it can be
-// resumed, measured or checkpointed.
-//
-// If SetAutoCheckpoint configured a checkpoint file, the state is written
-// to it (atomically) at every absolute multiple of the checkpoint interval
-// and once more when the run stops, including on cancellation, unless the
-// stopping step was just written; a checkpoint write failure stops the
-// run and is returned.
-//
 // deriveTrace hands rec the run constants — λ, γ and the per-color
 // particle census — that let binary trace flushes elide derivable
 // columns. The census is fixed for the run: moves and swaps of chain M
@@ -497,14 +485,131 @@ func (s *System) deriveTrace(rec *Recorder) {
 	rec.SetDerivation(params.Lambda, params.Gamma, counts[:k])
 }
 
-// Run is the single run entry point; only the bare RunSteps loop exists
-// beside it (the deprecated RunContext/RunWith/RunWithContext wrappers of
-// earlier releases are gone).
+// Run performs up to spec.Steps iterations, sampling on spec's cadence and
+// stopping early when ctx is cancelled or the Observer returns false. It
+// returns the iterations actually performed, with ctx's error if the run
+// was cut short. The System remains valid after a cancelled run: it can be
+// resumed, measured or checkpointed.
+//
+// If SetAutoCheckpoint configured a checkpoint file, the state is written
+// to it (atomically) at every absolute multiple of the checkpoint interval
+// and once more when the run stops, including on cancellation, unless the
+// stopping step was just written; a checkpoint write failure stops the
+// run and is returned. The rule is the same for Workers > 1: the sharded
+// store is folded back into the chain before each write.
+//
+// Both engines run through one loop: each batch ends at the next sample
+// boundary (when an Observer or Recorder is set), the next checkpoint
+// boundary, or the end of the run, whichever comes first.
 func (s *System) Run(ctx context.Context, spec RunSpec) (uint64, error) {
-	if spec.Workers > 1 {
-		return s.runSharded(ctx, spec)
+	var rec *Recorder
+	if spec.Telemetry != nil {
+		rec = spec.Telemetry.Recorder
 	}
-	done, err := s.runSerial(ctx, spec)
+	if rec != nil {
+		s.deriveTrace(rec)
+	}
+	start := s.Steps()
+	var sh *core.Sharded
+	if spec.Workers > 1 {
+		var err error
+		if sh, err = s.lift(spec); err != nil {
+			return 0, err
+		}
+	} else if spec.Telemetry != nil && spec.Telemetry.Probe != nil {
+		s.chain.SetProbe(spec.Telemetry.Probe)
+	}
+
+	// fold moves the sharded store's configuration, and the statistics
+	// not yet absorbed, into the chain — preserving its parameters, rng
+	// stream and probe accounting — so the System before and after looks
+	// exactly like it ran the steps serially, modulo the proposal order.
+	var folded Stats
+	fold := func() error {
+		if sh == nil {
+			return nil
+		}
+		final, err := sh.Snapshot()
+		if err == nil {
+			err = s.chain.ReplaceConfig(final)
+		}
+		if err != nil {
+			return fmt.Errorf("sops: sharded run: %w", err)
+		}
+		st := sh.Stats()
+		s.chain.AbsorbStats(Stats{Steps: st.Steps - folded.Steps, Moves: st.Moves - folded.Moves,
+			Swaps: st.Swaps - folded.Swaps, Rejected: st.Rejected - folded.Rejected})
+		folded = st
+		return nil
+	}
+	sample := func(at uint64) Snapshot {
+		var v psys.View = s.chain.Config()
+		if sh != nil {
+			v = sh.Store()
+		}
+		snap := s.meter.Capture(v, at)
+		if rec != nil {
+			e := s.chain.Energy()
+			if sh != nil {
+				e = sh.Energy()
+			}
+			rec.Offer(TraceSample{Snap: snap, Energy: e})
+		}
+		return snap
+	}
+
+	sampling := spec.Observer != nil || rec != nil
+	var done uint64
+	var err error
+	for {
+		at := start + done
+		ckpt := s.ckptEvery > 0 && s.ckptPath != ""
+		// Batches stop at absolute multiples of the cadences, so a resumed
+		// run samples and checkpoints the same trajectory points as the
+		// uninterrupted one.
+		batch := spec.Steps - done
+		if sampling && spec.SampleEvery > 0 {
+			batch = min(batch, spec.SampleEvery-at%spec.SampleEvery)
+		}
+		if ckpt {
+			batch = min(batch, s.ckptEvery-at%s.ckptEvery)
+		}
+		var n uint64
+		if sh == nil {
+			n, err = s.chain.RunContext(ctx, batch)
+		} else {
+			n, err = sh.Run(ctx, batch)
+		}
+		done += n
+		at = start + done
+		if err == nil && ckpt && at%s.ckptEvery == 0 {
+			if err = fold(); err == nil {
+				err = s.autoCheckpoint()
+			}
+		}
+		if err != nil {
+			// The run was cut short mid-interval: still surface the final
+			// state to the observer and the trace.
+			if sampling {
+				if snap := sample(at); spec.Observer != nil {
+					spec.Observer(snap)
+				}
+			}
+			break
+		}
+		last := done >= spec.Steps
+		if sampling && (last || spec.SampleEvery > 0 && at%spec.SampleEvery == 0) {
+			if snap := sample(at); spec.Observer != nil && !spec.Observer(snap) {
+				break
+			}
+		}
+		if last {
+			break
+		}
+	}
+	if ferr := fold(); ferr != nil {
+		return done, errors.Join(err, ferr)
+	}
 	if err == nil || err == ctx.Err() {
 		// Seal the stopping point (a failed interval write is not retried).
 		if werr := s.autoCheckpoint(); werr != nil && err == nil {
@@ -514,73 +619,15 @@ func (s *System) Run(ctx context.Context, spec RunSpec) (uint64, error) {
 	return done, err
 }
 
-// runSerial executes one RunSpec on the serial chain, sampling on the
-// spec's cadence and writing interval checkpoints.
-func (s *System) runSerial(ctx context.Context, spec RunSpec) (uint64, error) {
-	var rec *Recorder
-	if spec.Telemetry != nil {
-		if spec.Telemetry.Probe != nil {
-			s.chain.SetProbe(spec.Telemetry.Probe)
-		}
-		rec = spec.Telemetry.Recorder
-	}
-	if rec != nil {
-		s.deriveTrace(rec)
-	}
-	if spec.Observer == nil && rec == nil {
-		return s.runCheckpointed(ctx, spec.Steps)
-	}
-	sample := func() Snapshot {
-		snap := s.Metrics()
-		if rec != nil {
-			rec.Offer(TraceSample{Snap: snap, Energy: s.chain.Energy()})
-		}
-		return snap
-	}
-	var done uint64
-	for {
-		batch := spec.Steps - done
-		if spec.SampleEvery > 0 {
-			// Stop at the next absolute multiple of the cadence, so a
-			// resumed run samples the same trajectory points as the
-			// uninterrupted one.
-			if next := spec.SampleEvery - s.Steps()%spec.SampleEvery; next < batch {
-				batch = next
-			}
-		}
-		n, err := s.runCheckpointed(ctx, batch)
-		done += n
-		if err != nil {
-			// The run was cut short mid-interval: still surface the
-			// final state to the observer and the trace.
-			snap := sample()
-			if spec.Observer != nil {
-				spec.Observer(snap)
-			}
-			return done, err
-		}
-		snap := sample()
-		if spec.Observer != nil && !spec.Observer(snap) {
-			return done, nil
-		}
-		if done >= spec.Steps {
-			return done, nil
-		}
-	}
-}
-
-// runSharded executes one RunSpec on the sharded multicore engine: the
-// chain's configuration is lifted into a tile store, evolved by
-// spec.Workers concurrent proposal workers, sampled through the tiled
-// metrics path at the spec's cadence, and folded back into the serial
-// chain when the segment ends — so the System before and after looks
-// exactly like it ran the steps serially, modulo the proposal order.
-// Worker rng streams derive from SeedAt(chain seed, steps-so-far), so
+// lift builds the sharded executor a Workers > 1 run steps on: the
+// chain's configuration in a tile store, evolved by spec.Workers
+// concurrent proposal workers that publish into the run's probe. Worker
+// rng streams derive from SeedAt(chain seed, steps-so-far), so
 // consecutive sharded segments of one System never reuse a stream.
-func (s *System) runSharded(ctx context.Context, spec RunSpec) (uint64, error) {
+func (s *System) lift(spec RunSpec) (*core.Sharded, error) {
 	params := s.chain.Params()
 	start := s.Steps()
-	sh, err := core.NewShardedWithModel(s.chain.Snapshot(), params, s.chain.Model(), s.chain.Couplings(), core.ShardedOptions{
+	sh, err := core.NewShardedWithModel(s.chain.Config(), params, s.chain.Model(), s.chain.Couplings(), core.ShardedOptions{
 		Workers: spec.Workers,
 		Seed:    rng.SeedAt(params.Seed, start),
 		// Scheduled models anneal by absolute step count; the offset keeps
@@ -588,106 +635,22 @@ func (s *System) runSharded(ctx context.Context, spec RunSpec) (uint64, error) {
 		StepOffset: start,
 	})
 	if err != nil {
-		return 0, fmt.Errorf("sops: sharded run: %w", err)
+		return nil, fmt.Errorf("sops: sharded run: %w", err)
 	}
-	var rec *Recorder
-	if spec.Telemetry != nil {
-		if spec.Telemetry.Probe != nil {
-			// Fan worker batches into the caller's probe through a
-			// ProbeSet, so per-band attribution exists while the shared
-			// probe keeps its serial-run contract.
-			ps := telemetry.NewProbeSet(spec.Telemetry.Probe, spec.Workers)
-			probes := make([]core.Probe, spec.Workers)
-			for i := range probes {
-				probes[i] = ps.Worker(i)
-			}
-			if err := sh.SetWorkerProbes(probes); err != nil {
-				return 0, fmt.Errorf("sops: sharded run: %w", err)
-			}
+	if spec.Telemetry != nil && spec.Telemetry.Probe != nil {
+		// Fan worker batches into the caller's probe through a ProbeSet,
+		// so per-band attribution exists while the shared probe keeps its
+		// serial-run contract.
+		ps := telemetry.NewProbeSet(spec.Telemetry.Probe, spec.Workers)
+		probes := make([]core.Probe, spec.Workers)
+		for i := range probes {
+			probes[i] = ps.Worker(i)
 		}
-		rec = spec.Telemetry.Recorder
-	}
-	if rec != nil {
-		s.deriveTrace(rec)
-	}
-
-	sample := func() Snapshot {
-		snap := s.meter.CaptureStore(sh.Store(), start+sh.Stats().Steps)
-		if rec != nil {
-			rec.Offer(TraceSample{Snap: snap, Energy: sh.Energy()})
-		}
-		return snap
-	}
-	// fold moves the evolved configuration and statistics back into the
-	// serial chain, preserving its parameters, rng stream, and probe
-	// accounting, then writes one checkpoint if auto-checkpointing is on.
-	fold := func() error {
-		final, err := sh.Snapshot()
-		if err != nil {
-			return fmt.Errorf("sops: sharded run: %w", err)
-		}
-		if err := s.chain.ReplaceConfig(final); err != nil {
-			return fmt.Errorf("sops: sharded run: %w", err)
-		}
-		s.chain.AbsorbStats(sh.Stats())
-		return s.autoCheckpoint()
-	}
-
-	sampling := spec.Observer != nil || rec != nil
-	var done uint64
-	for done < spec.Steps {
-		batch := spec.Steps - done
-		if sampling && spec.SampleEvery > 0 {
-			// Stop at absolute multiples of the cadence, like the serial
-			// path, so resumed runs sample the same trajectory points.
-			if next := spec.SampleEvery - (start+done)%spec.SampleEvery; next < batch {
-				batch = next
-			}
-		}
-		n, err := sh.Run(ctx, batch)
-		done += n
-		if err != nil {
-			if sampling {
-				snap := sample()
-				if spec.Observer != nil {
-					spec.Observer(snap)
-				}
-			}
-			return done, errors.Join(err, fold())
-		}
-		if sampling {
-			snap := sample()
-			if spec.Observer != nil && !spec.Observer(snap) {
-				break
-			}
+		if err := sh.SetWorkerProbes(probes); err != nil {
+			return nil, fmt.Errorf("sops: sharded run: %w", err)
 		}
 	}
-	return done, fold()
-}
-
-// runCheckpointed performs up to steps iterations with cancellation,
-// writing the auto-checkpoint (if configured) at every absolute multiple
-// of its interval the run reaches. The write at the run's stopping point
-// is Run's.
-func (s *System) runCheckpointed(ctx context.Context, steps uint64) (uint64, error) {
-	if s.ckptEvery == 0 || s.ckptPath == "" {
-		return s.chain.RunContext(ctx, steps)
-	}
-	var done uint64
-	for done < steps {
-		batch := min(s.ckptEvery-s.Steps()%s.ckptEvery, steps-done)
-		n, err := s.chain.RunContext(ctx, batch)
-		done += n
-		if err != nil {
-			return done, err
-		}
-		if s.Steps()%s.ckptEvery == 0 {
-			if err := s.autoCheckpoint(); err != nil {
-				return done, err
-			}
-		}
-	}
-	return done, nil
+	return sh, nil
 }
 
 // autoCheckpoint writes the SetAutoCheckpoint file, if one is configured
